@@ -60,19 +60,14 @@ test-chaos:
 	$(GO) test -race -count=2 -run Chaos ./node
 
 # Race-detect the goroutine-spawning packages (live node, experiment
-# harness, sweep orchestration, protocol substrates, sharded engine).
-# -short keeps the experiment sweeps to the cheap ones — the race
-# detector's ~20x slowdown would push the full battery past the default
-# test timeout — while still covering the worker-pool fan-out. The core
-# leg runs the shard-count invariance suite plus the parallel
-# sample/WCC scan tests: the engine's worker goroutines only exist at
-# Shards>1, and these are the tests that drive them.
+# harness, sweep orchestration, protocol substrates). -short keeps the
+# experiment sweeps to the cheap ones — the race detector's ~20x
+# slowdown would push the full battery past the default test timeout —
+# while still covering the worker-pool fan-out. The simulation engine
+# (internal/core) starts no goroutines and is not listed.
 race:
 	$(GO) test -race -short -timeout 15m ./node/... ./internal/experiments \
 	  ./internal/gossip ./internal/dht ./internal/orchestrate
-	$(GO) test -race -short -timeout 15m \
-	  -run 'TestShardCountInvariance|TestLargestWCCParallelMatchesSerial|TestRenewMatchesFresh|TestShardedLargeRunSmoke' \
-	  ./internal/core
 
 # Ten seconds of coverage-guided fuzzing each over the wire decoder,
 # the stream framing, the snapshot decoder, and the gossip/DHT
@@ -91,11 +86,10 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # One iteration of the headline benchmarks (the default-config run and
-# the 100k-peer scaling run, serial and sharded) plus the hot-path
-# microbenchmarks: catches benchmark bit-rot and allocation regressions
-# on every `make all`.
+# the 100k-peer scaling run) plus the hot-path microbenchmarks: catches
+# benchmark bit-rot and allocation regressions on every `make all`.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkSingleRun$$|BenchmarkLargeRun' -benchmem -benchtime 1x -timeout 30m .
+	$(GO) test -run '^$$' -bench 'BenchmarkSingleRun$$|BenchmarkLargeRun$$' -benchmem -benchtime 1x -timeout 30m .
 	$(GO) test -run '^$$' -bench . -benchtime 1x $(BENCH_PKGS)
 
 # Record a benchmark trajectory point: the headline simulation
@@ -105,7 +99,7 @@ bench-smoke:
 bench-json:
 	$(GO) build -o /tmp/benchjson ./cmd/benchjson
 	{ $(GO) test -run '^$$' -bench 'BenchmarkSingleRun$$' -benchmem -benchtime 5x . && \
-	  $(GO) test -run '^$$' -bench 'BenchmarkLargeRun' -benchmem -benchtime 1x -timeout 30m . && \
+	  $(GO) test -run '^$$' -bench 'BenchmarkLargeRun$$' -benchmem -benchtime 1x -timeout 30m . && \
 	  $(GO) test -run '^$$' -bench . -benchmem $(BENCH_PKGS); } \
 	  | tee /dev/stderr | /tmp/benchjson -o BENCH_$$(date +%Y%m%d).json
 	@echo wrote BENCH_$$(date +%Y%m%d).json
@@ -115,14 +109,14 @@ bench-json:
 # grows past 110% of the baseline for either the default-config run or
 # the 100k-peer scaling run. Override with
 # `make bench-check BENCH_BASELINE=BENCH_<date>.json`.
-BENCH_BASELINE ?= BENCH_20260808.json
+BENCH_BASELINE ?= BENCH_20261017.json
 bench-check:
 	$(GO) build -o /tmp/benchjson ./cmd/benchjson
 	{ $(GO) test -run '^$$' -bench 'BenchmarkSingleRun$$' -benchmem -benchtime 3x . && \
-	  $(GO) test -run '^$$' -bench 'BenchmarkLargeRun/shards=1' -benchmem -benchtime 1x -timeout 30m .; } \
+	  $(GO) test -run '^$$' -bench 'BenchmarkLargeRun$$' -benchmem -benchtime 1x -timeout 30m .; } \
 	  | tee /dev/stderr \
 	  | /tmp/benchjson -check $(BENCH_BASELINE) \
-	      -benchmark 'BenchmarkSingleRun,BenchmarkLargeRun/shards=1'
+	      -benchmark 'BenchmarkSingleRun,BenchmarkLargeRun'
 
 # End-to-end smoke of the observability endpoints: start a live node
 # with -metrics, scrape /metrics and /metrics.json, and validate the

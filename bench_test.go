@@ -8,7 +8,6 @@ package guess_test
 
 import (
 	"context"
-	"fmt"
 	"testing"
 
 	guess "repro"
@@ -67,37 +66,26 @@ func BenchmarkAblIntroProb(b *testing.B)        { benchExperiment(b, "abl-introp
 
 // BenchmarkLargeRun measures a 100k-peer churning simulation with
 // connectivity sampling — the scaling path toward the million-peer
-// target (see README "Scaling"). The shards=1/shards=4 pair exposes
-// the sharded engine's parallel sample and WCC scan phases: the gap
-// between the two is the machine's parallel dividend (on one core
-// shards=4 costs a few percent of merge overhead; with spare cores
-// the scan phases spread out), while results stay byte-identical
-// (TestShardCountInvariance) and allocs/op stays flat (make
-// bench-check gates shards=1).
+// target (see README "Scaling"). make bench-check gates its allocs/op.
 func BenchmarkLargeRun(b *testing.B) {
-	for _, shards := range []int{1, 4} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				cfg := guess.DefaultConfig()
-				cfg.NetworkSize = 100_000
-				cfg.CacheSize = 32
-				cfg.WarmupTime = 20
-				cfg.MeasureTime = 60
-				cfg.QueryRate = 0.0005
-				cfg.SampleInterval = 10
-				cfg.SampleConnectivity = true
-				cfg.Shards = shards
-				cfg.Seed = uint64(i + 1)
-				res, err := guess.Run(context.Background(), cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Deaths == 0 {
-					b.Fatal("no churn")
-				}
-			}
-		})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		cfg := guess.DefaultConfig()
+		cfg.NetworkSize = 100_000
+		cfg.CacheSize = 32
+		cfg.WarmupTime = 20
+		cfg.MeasureTime = 60
+		cfg.QueryRate = 0.0005
+		cfg.SampleInterval = 10
+		cfg.SampleConnectivity = true
+		cfg.Seed = uint64(i + 1)
+		res, err := guess.Run(context.Background(), cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Deaths == 0 {
+			b.Fatal("no churn")
+		}
 	}
 }
 

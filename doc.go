@@ -41,15 +41,17 @@
 //
 // Run's signature changed when the observability layer landed: it now
 // takes a context and variadic options where it took a bare Config.
-// The deprecated RunConfig shim keeps the old call shape compiling;
-// new code should call Run directly. See README.md, "Observability",
-// for the metric and trace schemas.
+// Code written against the old shape passes context.Background() and
+// moves its progress writer into WithProgress; README.md has the
+// migration table. See README.md, "Observability", for the metric and
+// trace schemas.
 //
 // The experiment runner likewise moved from a string-keyed entry point
-// to a typed one: code that called the internal experiments.Run(id,
-// opts) should move to LookupExperiment(id) followed by Experiment.Run
-// — the lookup separates "does this artifact exist" from "did the
-// sweep succeed", and the handle exposes the sweep's typed specs.
+// to a typed one: code that called the former internal
+// experiments.Run(id, opts) moves to LookupExperiment(id) followed by
+// Experiment.Run — the lookup separates "does this artifact exist"
+// from "did the sweep succeed", and the handle exposes the sweep's
+// typed specs.
 // Distribution rides on the same types: set ExperimentOptions.Executor
 // to a coordinator or worker pool (internal/orchestrate, cmd/guess-sweep)
 // and the sweep fans out across workers while producing byte-identical

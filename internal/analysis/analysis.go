@@ -190,9 +190,8 @@ func IsDeterministic(path string) bool {
 // concurrentPkgs are the packages bound by the concurrency-discipline
 // rules (atomicfield, lockguard, goroexit, wirebound): the live node
 // and everything it shares goroutines, mutexes, and wire decoders with.
-// The simulation stack is single-goroutine by construction (the sharded
-// engine's workers are proven by TestShardCountInvariance under -race)
-// and stays out; cmd/ mains are thin wiring over these layers.
+// The simulation stack is single-goroutine by construction and stays
+// out; cmd/ mains are thin wiring over these layers.
 var concurrentPkgs = map[string]bool{
 	"repro/node":                 true,
 	"repro/node/cluster":         true,

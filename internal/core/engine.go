@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/cache"
 	"repro/internal/content"
@@ -63,14 +61,9 @@ type Engine struct {
 	rngPolicy   *simrng.RNG // random policy picks, eviction
 	rngIntro    *simrng.RNG // introduction coin flips
 
-	now float64
-	end float64
-	// events is sharded by peer ID and merged on (time, global push
-	// order), which reproduces exactly the total order of a single
-	// queue — so any shard count yields the same run, byte for byte
-	// (see eventq.Sharded and the shard determinism suite).
-	events  *eventq.Sharded[event]
-	nshards int
+	now    float64
+	end    float64
+	events eventq.Queue[event]
 
 	// ps is the struct-of-arrays peer state; bad tracks the IDs of live
 	// malicious peers (for colluding pongs). IDs rather than slots:
@@ -119,15 +112,6 @@ type Engine struct {
 	badBuf     []cache.PeerID // colluder candidates for BadPongBad pongs
 	wcc        overlay.WCCScratch
 	traceBuf   []byte // one CSV row, rebuilt in place per sample
-
-	// Sample-scan scratch: per-peer live/good entry counts filled by the
-	// (optionally parallel) scan phase, then reduced sequentially in
-	// slot order so the floating-point accumulation sequence is
-	// identical at every shard count. edgeBufs holds per-worker overlay
-	// edges for the connectivity sample.
-	samplePl []int32
-	samplePg []int32
-	edgeBufs [][]int32
 
 	// Free lists recycling the per-churn and per-query allocations:
 	// dead peers donate their link cache, library storage and
@@ -203,7 +187,6 @@ func newEngine(params Params, recycle *Engine) (*Engine, error) {
 		rngWorkload: root.Stream("workload"),
 		rngPolicy:   root.Stream("policy"),
 		rngIntro:    root.Stream("intro"),
-		nshards:     params.shardCount(),
 		nextID:      1,
 		nextFake:    fakeAddrBase,
 		lieFiles:    int32(universe.MaxLibrary()),
@@ -213,9 +196,6 @@ func newEngine(params Params, recycle *Engine) (*Engine, error) {
 		e.adoptStorage(recycle)
 	}
 	e.ps.init(params.NetworkSize)
-	if e.events == nil {
-		e.events = eventq.NewSharded[event](e.nshards)
-	}
 	return e, nil
 }
 
@@ -232,19 +212,14 @@ func (e *Engine) adoptStorage(old *Engine) {
 		}
 	}
 	e.ps = old.ps
-	if old.events.Shards() == e.nshards {
-		old.events.Reset()
-		e.events = old.events
-	}
+	e.events = old.events
+	e.events.Reset()
 	e.bad = old.bad[:0]
 	e.polScratch = old.polScratch
 	e.pongBuf = old.pongBuf[:0]
 	e.badBuf = old.badBuf[:0]
 	e.wcc = old.wcc
 	e.traceBuf = old.traceBuf[:0]
-	e.samplePl = old.samplePl[:0]
-	e.samplePg = old.samplePg[:0]
-	e.edgeBufs = old.edgeBufs
 	e.freeQueries = old.freeQueries
 	e.freeLibs = old.freeLibs
 	e.freeProvenance = old.freeProvenance
@@ -313,26 +288,6 @@ func (e *Engine) SetProgress(w io.Writer) { e.progress = w }
 // simulated work.
 const ctxCheckInterval = 512
 
-// push schedules ev at time t on its home shard. Routing is by peer ID
-// (queries live on their origin's shard; the sampler on shard 0), but
-// because the sharded queue merges on global push order, the routing
-// choice affects only which heap holds an event — never the order
-// events fire, and therefore never a result.
-func (e *Engine) push(t float64, ev event) {
-	shard := 0
-	if e.nshards > 1 {
-		switch ev.kind {
-		case evProbeStep:
-			shard = int(uint64(ev.q.origin) % uint64(e.nshards))
-		case evSample:
-			shard = 0
-		default:
-			shard = int(uint64(ev.peer) % uint64(e.nshards))
-		}
-	}
-	e.events.Push(shard, t, ev)
-}
-
 // Run executes the simulation and returns its measurements. It can be
 // called once. A nil ctx is treated as context.Background. When ctx is
 // cancelled mid-run the loop stops at the next event-batch boundary and
@@ -346,7 +301,7 @@ func (e *Engine) Run(ctx context.Context) (*Results, error) {
 	e.end = e.p.WarmupTime + e.p.MeasureTime
 
 	e.bootstrap()
-	e.push(e.p.WarmupTime, event{kind: evSample})
+	e.events.Push(e.p.WarmupTime, event{kind: evSample})
 
 	var processed uint64
 	for {
@@ -502,11 +457,11 @@ func (e *Engine) spawnPeer(malicious, selfish bool) int {
 		e.observer.Observe(obs.Event{Kind: obs.EvPeerBirth, Time: e.now, Peer: uint64(id)})
 	}
 
-	e.push(deathAt, event{kind: evDeath, peer: id})
-	e.push(e.now+e.rngChurn.Float64()*e.p.PingInterval, event{kind: evPing, peer: id})
+	e.events.Push(deathAt, event{kind: evDeath, peer: id})
+	e.events.Push(e.now+e.rngChurn.Float64()*e.p.PingInterval, event{kind: evPing, peer: id})
 	if e.p.QueriesEnabled && !malicious {
 		delay, _ := e.gen.NextBurst(e.rngWorkload)
-		e.push(e.now+delay, event{kind: evBurst, peer: id})
+		e.events.Push(e.now+delay, event{kind: evBurst, peer: id})
 	}
 	return slot
 }
@@ -607,7 +562,7 @@ func (e *Engine) handlePing(id cache.PeerID) {
 	if p < 0 {
 		return // peer died; its replacement has its own ping timer
 	}
-	e.push(e.now+e.ps.pingInterval[p], event{kind: evPing, peer: id})
+	e.events.Push(e.now+e.ps.pingInterval[p], event{kind: evPing, peer: id})
 
 	entries := e.ps.link[p].Entries()
 	i := policy.Pick(e.rngPolicy, e.p.PingProbe, entries)
@@ -661,80 +616,18 @@ func (e *Engine) handleBurst(id cache.PeerID) {
 		return
 	}
 	delay, size := e.gen.NextBurst(e.rngWorkload)
-	e.push(e.now+delay, event{kind: evBurst, peer: id})
+	e.events.Push(e.now+delay, event{kind: evBurst, peer: id})
 	e.startQuery(p, size-1)
 }
 
-// scanChunk is the slot-range granularity of the parallel sample
-// scans: large enough that chunk handoff is noise, small enough to
-// balance uneven cache sizes across workers.
-const scanChunk = 2048
-
-// forEachChunk partitions [0, n) into chunks and runs fn over them on
-// nshards workers (inline when sharding is off or n is small). fn must
-// be RNG-free and touch only per-slot disjoint state: the worker index
-// w is for per-worker scratch, lo/hi is the slot range.
-func (e *Engine) forEachChunk(n int, fn func(w, lo, hi int)) {
-	if e.nshards <= 1 || n < 2*scanChunk {
-		fn(0, 0, n)
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < e.nshards; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				lo := int(next.Add(scanChunk)) - scanChunk
-				if lo >= n {
-					return
-				}
-				hi := min(lo+scanChunk, n)
-				fn(w, lo, hi)
-			}
-		}(w)
-	}
-	wg.Wait()
-}
-
 // handleSample takes a cache-health (and optionally connectivity)
-// sample and reschedules itself.
-//
-// The sample is the engine's one O(NetworkSize) scan, and the only
-// phase that parallelizes without touching randomness: counting each
-// peer's live and good cache entries is a pure read of the peer store.
-// With Shards > 1 the scan fans out over worker goroutines into
-// per-peer integer tallies; the floating-point averaging then replays
-// sequentially in slot order, performing bit-for-bit the same
-// operation sequence as the single-threaded scan — which is why every
-// shard count produces identical Results, traces and metrics.
+// sample and reschedules itself. The sample is the engine's one
+// O(NetworkSize) scan: a pure read of the peer store, in slot order.
 func (e *Engine) handleSample() {
 	if e.now+e.p.SampleInterval <= e.end {
-		e.push(e.now+e.p.SampleInterval, event{kind: evSample})
+		e.events.Push(e.now+e.p.SampleInterval, event{kind: evSample})
 	}
 	n := e.ps.len()
-	e.samplePl = growInt32(e.samplePl, n)
-	e.samplePg = growInt32(e.samplePg, n)
-	pl, pg := e.samplePl, e.samplePg
-	e.forEachChunk(n, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			var live, good int32
-			for _, entry := range e.ps.link[i].Entries() {
-				t := e.ps.slotOf(entry.Addr)
-				if t < 0 {
-					continue
-				}
-				live++
-				if !e.ps.malicious[t] {
-					good++
-				}
-			}
-			pl[i] = live
-			pg[i] = good
-		}
-	})
-
 	var (
 		held, live float64
 		fracSum    float64
@@ -743,15 +636,26 @@ func (e *Engine) handleSample() {
 		goodPeers  int
 	)
 	for i := 0; i < n; i++ {
+		var pl, pg int32 // this slot's live and good entries
+		for _, entry := range e.ps.link[i].Entries() {
+			t := e.ps.slotOf(entry.Addr)
+			if t < 0 {
+				continue
+			}
+			pl++
+			if !e.ps.malicious[t] {
+				pg++
+			}
+		}
 		entries := e.ps.link[i].Len()
 		held += float64(entries)
-		live += float64(pl[i])
+		live += float64(pl)
 		if entries > 0 {
-			fracSum += float64(pl[i]) / float64(entries)
+			fracSum += float64(pl) / float64(entries)
 			fracPeers++
 		}
 		if !e.ps.malicious[i] {
-			goodSum += float64(pg[i])
+			goodSum += float64(pg)
 			goodPeers++
 		}
 	}
@@ -803,15 +707,6 @@ func (e *Engine) handleSample() {
 	}
 }
 
-// growInt32 returns buf resized to n elements, reallocating only past
-// the high-water mark.
-func growInt32(buf []int32, n int) []int32 {
-	if cap(buf) < n {
-		return make([]int32, n)
-	}
-	return buf[:n]
-}
-
 // appendTraceRow assembles one CSV trace row into b. It is strconv in
 // a reusable buffer, byte-for-byte what the former
 // Fprintf("%.0f,%d,%d,%d,%d,%d,%.2f,%.2f\n") produced (fmt's float
@@ -843,55 +738,20 @@ func (e *Engine) appendTraceRow(b []byte, avgHeld, avgLive float64) []byte {
 // already dense indices, so the sample is one union-find pass over the
 // link caches with reusable scratch — no overlay.Builder, no graph
 // materialization, no allocation. Dead-target entries and self-loops
-// are skipped exactly as Builder.AddEdge skips them.
-//
-// With Shards > 1 the expensive phase — resolving every cache entry's
-// address to a live slot — fans out over workers into per-worker edge
-// buffers, and only the cheap union pass runs sequentially. Union
-// order differs across shard counts, but component sizes (all the
-// union-find is asked for) are order-invariant, so the sample is
-// byte-identical at every shard count.
+// are skipped exactly as Builder.AddEdge skips them;
+// TestLargestWCCMatchesOverlayGraph pins the result to that reference.
 func (e *Engine) largestWCC() int {
 	n := e.ps.len()
 	e.wcc.Reset(n)
-	if e.nshards <= 1 || n < 2*scanChunk {
-		for i := 0; i < n; i++ {
-			selfID := e.ps.id[i]
-			for _, entry := range e.ps.link[i].Entries() {
-				if entry.Addr == selfID {
-					continue
-				}
-				if t := e.ps.slotOf(entry.Addr); t >= 0 {
-					e.wcc.Union(i, t)
-				}
+	for i := 0; i < n; i++ {
+		selfID := e.ps.id[i]
+		for _, entry := range e.ps.link[i].Entries() {
+			if entry.Addr == selfID {
+				continue
 			}
-		}
-		return e.wcc.Largest()
-	}
-	if len(e.edgeBufs) < e.nshards {
-		e.edgeBufs = append(e.edgeBufs, make([][]int32, e.nshards-len(e.edgeBufs))...)
-	}
-	for w := range e.edgeBufs {
-		e.edgeBufs[w] = e.edgeBufs[w][:0]
-	}
-	e.forEachChunk(n, func(w, lo, hi int) {
-		buf := e.edgeBufs[w]
-		for i := lo; i < hi; i++ {
-			selfID := e.ps.id[i]
-			for _, entry := range e.ps.link[i].Entries() {
-				if entry.Addr == selfID {
-					continue
-				}
-				if t := e.ps.slotOf(entry.Addr); t >= 0 {
-					buf = append(buf, int32(i), int32(t))
-				}
+			if t := e.ps.slotOf(entry.Addr); t >= 0 {
+				e.wcc.Union(i, t)
 			}
-		}
-		e.edgeBufs[w] = buf
-	})
-	for _, buf := range e.edgeBufs {
-		for k := 0; k+1 < len(buf); k += 2 {
-			e.wcc.Union(int(buf[k]), int(buf[k+1]))
 		}
 	}
 	return e.wcc.Largest()

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/overlay"
 	"repro/internal/policy"
 )
 
@@ -403,5 +404,65 @@ func TestResultsZeroQueriesSafe(t *testing.T) {
 func TestBadPongBehaviorString(t *testing.T) {
 	if BadPongDead.String() != "Dead" || BadPongBad.String() != "Bad" || BadPongGood.String() != "Good" {
 		t.Fatal("BadPongBehavior names wrong")
+	}
+}
+
+// TestLargestWCCMatchesOverlayGraph checks the engine's union-find
+// connectivity sample exactly against the reference implementation,
+// overlay.Builder plus Graph.LargestWCC over the same link caches. The
+// runs churn, so caches hold dead entries, and the smallest cache
+// fragments the overlay, so the check covers more than the
+// everyone-connected case.
+func TestLargestWCCMatchesOverlayGraph(t *testing.T) {
+	var fragmented, deadSeen bool
+	for _, cacheSize := range []int{2, 5, 20} {
+		for _, seed := range []uint64{3, 4} {
+			p := quickParams()
+			p.CacheSize = cacheSize
+			p.LifespanMultiplier = 0.3
+			p.SampleConnectivity = true
+			p.Seed = seed
+			e, err := New(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := e.Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Deaths == 0 || res.ConnectivityRuns == 0 {
+				t.Fatalf("cache %d seed %d: no churn or no samples: %+v", cacheSize, seed, res)
+			}
+
+			b := overlay.NewBuilder(e.ps.len())
+			for i := 0; i < e.ps.len(); i++ {
+				if err := b.AddNode(e.ps.id[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < e.ps.len(); i++ {
+				for _, entry := range e.ps.link[i].Entries() {
+					if err := b.AddEdge(e.ps.id[i], entry.Addr); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			g, dead := b.Graph()
+			want := g.LargestWCC()
+			got := e.largestWCC()
+			fragmented = fragmented || want < e.ps.len()
+			deadSeen = deadSeen || dead > 0
+			if got != want {
+				t.Fatalf("cache %d seed %d: largestWCC = %d, overlay graph says %d",
+					cacheSize, seed, got, want)
+			}
+			if res.FinalLargestWCC != want {
+				t.Fatalf("cache %d seed %d: FinalLargestWCC = %d, overlay graph says %d",
+					cacheSize, seed, res.FinalLargestWCC, want)
+			}
+		}
+	}
+	if !fragmented || !deadSeen {
+		t.Fatalf("vacuous battery: fragmented=%v, dead entries seen=%v", fragmented, deadSeen)
 	}
 }

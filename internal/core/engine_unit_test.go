@@ -233,25 +233,6 @@ func TestLargestWCCOnFreshNetwork(t *testing.T) {
 	}
 }
 
-// TestLargestWCCParallelMatchesSerial pins that the sharded WCC sample
-// (parallel edge resolution, sequential unions) computes exactly the
-// serial scan's component size. The population is made large enough to
-// cross the parallel path's size threshold.
-func TestLargestWCCParallelMatchesSerial(t *testing.T) {
-	mk := func(shards int) *Engine {
-		return newBootstrapped(t, func(p *Params) {
-			p.NetworkSize = 3 * scanChunk
-			p.Shards = shards
-		})
-	}
-	serial := mk(1).largestWCC()
-	for _, shards := range []int{2, 4, 8} {
-		if got := mk(shards).largestWCC(); got != serial {
-			t.Fatalf("Shards=%d WCC=%d, serial=%d", shards, got, serial)
-		}
-	}
-}
-
 func TestQueryAddCandidateDedups(t *testing.T) {
 	q := &query{
 		sel:     policy.NewSelector(policy.SelMFS, nil),

@@ -203,7 +203,7 @@ func (e *Engine) handleProbeStep(q *query) {
 	case e.p.MaxProbesPerQuery > 0 && q.probes >= e.p.MaxProbesPerQuery:
 		e.completeQuery(origin, q, false)
 	default:
-		e.push(e.now+e.p.ProbeSpacing, event{kind: evProbeStep, q: q})
+		e.events.Push(e.now+e.p.ProbeSpacing, event{kind: evProbeStep, q: q})
 	}
 }
 

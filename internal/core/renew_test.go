@@ -5,8 +5,8 @@ package core
 // engines produces byte-identical Results and traces to fresh engines
 // run one by one, across configurations that exercise every recycled
 // structure (link caches, libraries, poison maps, the event queue, the
-// query pool) and across shard-count and capacity changes that force
-// the pools to adapt or drop.
+// query pool) and across capacity changes that force the pools to
+// adapt or drop.
 
 import (
 	"context"
@@ -49,9 +49,9 @@ func runTracedRenew(t *testing.T, params []Params) ([]string, []string) {
 // TestRenewMatchesFresh is the recycling determinism guarantee: a
 // worker chaining Renew across a sweep must produce exactly what fresh
 // engines would, even when consecutive configs differ in cache
-// capacity (dropping the cache pool), shard count (resetting or
-// replacing the event queue), network size (growing or truncating the
-// peer arrays), and enabled extensions (recycled poison maps).
+// capacity (dropping the cache pool), network size (growing or
+// truncating the peer arrays), and enabled extensions (recycled poison
+// maps).
 func TestRenewMatchesFresh(t *testing.T) {
 	base := quickParams()
 	base.MeasureTime = 200
@@ -59,9 +59,6 @@ func TestRenewMatchesFresh(t *testing.T) {
 	small := base
 	small.NetworkSize = 150
 	small.CacheSize = 6 // different capacity: freeCaches must be dropped
-
-	sharded := base
-	sharded.Shards = 4
 
 	poisoned := base
 	poisoned.PercentBadPeers = 20
@@ -75,7 +72,7 @@ func TestRenewMatchesFresh(t *testing.T) {
 	churny.SampleConnectivity = true
 	churny.Seed = 9
 
-	chain := []Params{base, small, sharded, poisoned, churny, base}
+	chain := []Params{base, small, poisoned, churny, base}
 	gotRes, gotTrace := runTracedRenew(t, chain)
 	for i, p := range chain {
 		wantRes, wantTrace := runTraced(t, p, false)

@@ -1,9 +1,6 @@
 package eventq
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
 // BenchmarkPushPopSteady measures the steady-state cost of the
 // simulator's event scheduling: a warm queue holding churn/ping/probe
@@ -49,54 +46,6 @@ func BenchmarkQueueReset(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		fill()
 		q.Reset()
-	}
-}
-
-// BenchmarkShardedPushPopSteady is BenchmarkPushPopSteady over the
-// sharded queue: same workload, events routed across shards, pops
-// merged at the heads. Compares the per-event cost of the K-way merge
-// plus smaller heaps against the single heap.
-func BenchmarkShardedPushPopSteady(b *testing.B) {
-	for _, shards := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("shards-%d", shards), func(b *testing.B) {
-			s := NewSharded[int](shards)
-			const depth = 1 << 12
-			for i := 0; i < depth; i++ {
-				s.Push(i%shards, float64(i%977), i)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				t, v, ok := s.Pop()
-				if !ok {
-					b.Fatal("queue drained")
-				}
-				s.Push(v%shards, t+float64(v%31)+1, v)
-			}
-		})
-	}
-}
-
-// BenchmarkCalendarPushPopSteady is the same steady-state workload on
-// the calendar queue — the head-to-head its docs promise against the
-// binary heap (BenchmarkPushPopSteady). The workload's wide spread of
-// event horizons (t+1 .. t+31 over a warm queue of 4096) is the
-// simulator's, and is unflattering to the calendar; see the package
-// docs for why the engine keeps the heap.
-func BenchmarkCalendarPushPopSteady(b *testing.B) {
-	c := NewCalendar[int]()
-	const depth = 1 << 12
-	for i := 0; i < depth; i++ {
-		c.Push(float64(i%977), i)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t, v, ok := c.Pop()
-		if !ok {
-			b.Fatal("queue drained")
-		}
-		c.Push(t+float64(v%31)+1, v)
 	}
 }
 

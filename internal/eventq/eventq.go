@@ -7,13 +7,17 @@
 // for a given seed, so ties cannot be broken by map iteration order or
 // pointer values. Every pushed event receives a monotonically
 // increasing sequence number used as the tie-breaker.
+//
+// Queue is the one event queue in the repository: internal/core,
+// internal/gossip and internal/dht each hold a Queue by value and pop
+// it serially. A run is single-threaded; parallelism belongs across
+// runs.
 package eventq
 
 // Queue is a time-ordered event queue. The zero value is an empty queue
 // ready for use. T is the event payload type.
 //
-// Queue is not safe for concurrent use; a simulation run is
-// single-threaded by design (parallelism belongs across runs).
+// Queue is not safe for concurrent use.
 type Queue[T any] struct {
 	heap []entry[T]
 	seq  uint64
@@ -65,15 +69,6 @@ func (q *Queue[T]) Peek() (time float64, v T, ok bool) {
 	return q.heap[0].time, q.heap[0].v, true
 }
 
-// Clear drops all pending events but keeps allocated capacity.
-func (q *Queue[T]) Clear() {
-	var zero entry[T]
-	for i := range q.heap {
-		q.heap[i] = zero
-	}
-	q.heap = q.heap[:0]
-}
-
 // Reset returns the queue to its freshly-constructed state while
 // keeping allocated capacity: all pending events are dropped and the
 // sequence counter rewinds to zero, so a recycled queue orders
@@ -81,26 +76,9 @@ func (q *Queue[T]) Clear() {
 // reused across runs call Reset instead of allocating a new queue;
 // BenchmarkQueueReset pins the zero-allocation guarantee.
 func (q *Queue[T]) Reset() {
-	q.Clear()
+	clear(q.heap) // release payloads for GC
+	q.heap = q.heap[:0]
 	q.seq = 0
-}
-
-// pushSeq schedules v with a caller-supplied sequence number. It is
-// the building block of the sharded queue, which assigns one global
-// sequence across all shards so the K-way merge reproduces exactly the
-// single-queue total order. Callers must supply strictly increasing
-// sequence numbers.
-func (q *Queue[T]) pushSeq(time float64, seq uint64, v T) {
-	q.heap = append(q.heap, entry[T]{time: time, seq: seq, v: v})
-	q.up(len(q.heap) - 1)
-}
-
-// head returns the key of the earliest event without removing it.
-func (q *Queue[T]) head() (time float64, seq uint64, ok bool) {
-	if len(q.heap) == 0 {
-		return 0, 0, false
-	}
-	return q.heap[0].time, q.heap[0].seq, true
 }
 
 // less orders by (time, seq).

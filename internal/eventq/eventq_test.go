@@ -2,6 +2,7 @@ package eventq
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -62,18 +63,51 @@ func TestPeekDoesNotRemove(t *testing.T) {
 	}
 }
 
+// TestClear checks that Reset, which also serves as the queue's clear
+// operation, drops every pending event and leaves the queue usable.
 func TestClear(t *testing.T) {
 	var q Queue[int]
 	for i := 0; i < 10; i++ {
 		q.Push(float64(i), i)
 	}
-	q.Clear()
+	q.Reset()
 	if q.Len() != 0 {
-		t.Fatalf("Clear left %d events", q.Len())
+		t.Fatalf("Reset left %d events", q.Len())
 	}
 	q.Push(1, 99)
 	if _, v, _ := q.Pop(); v != 99 {
-		t.Fatal("queue unusable after Clear")
+		t.Fatal("queue unusable after Reset")
+	}
+}
+
+// TestResetBehavesLikeFresh pins the recycling contract: after Reset,
+// a reused queue must order same-time events exactly like a freshly
+// constructed one (sequence counter rewound, no stale events).
+func TestResetBehavesLikeFresh(t *testing.T) {
+	script := func(q *Queue[int]) []int {
+		for i := 0; i < 100; i++ {
+			q.Push(float64(i%7), i)
+		}
+		var out []int
+		for {
+			_, v, ok := q.Pop()
+			if !ok {
+				break
+			}
+			out = append(out, v)
+		}
+		return out
+	}
+
+	var q Queue[int]
+	fresh := script(&q)
+	q.Push(99, -1) // leftover that Reset must drop
+	q.Reset()
+	if q.Len() != 0 {
+		t.Fatalf("Reset left %d events", q.Len())
+	}
+	if got := script(&q); !slices.Equal(got, fresh) {
+		t.Fatalf("Queue after Reset diverged:\n got %v\nwant %v", got, fresh)
 	}
 }
 

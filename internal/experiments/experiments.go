@@ -294,22 +294,6 @@ func (e Experiment) Run(opts Options) (*Result, error) {
 	return res, nil
 }
 
-// Run executes the experiment with the given options.
-//
-// Deprecated: Run is the legacy string-keyed entry point. It survives
-// as a thin shim over the typed Spec API — Lookup(id) for the
-// experiment handle, Experiment.Specs for its canonical sweep Specs,
-// and Experiment.Run or RunSpec to execute — which is what new code
-// (and anything that needs to serialize or distribute work) should
-// use.
-func Run(id string, opts Options) (*Result, error) {
-	e, err := Lookup(id)
-	if err != nil {
-		return nil, err
-	}
-	return e.Run(opts)
-}
-
 // sweepMemo caches completed sweeps within a process. Several figures
 // are different projections of the same sweep (Figures 3-5 share the
 // cache-size sweep; Figures 16-18 and 19-21 share the poisoning

@@ -39,9 +39,18 @@ func TestTitles(t *testing.T) {
 }
 
 func TestRunUnknown(t *testing.T) {
-	if _, err := Run("nope", Options{}); err == nil {
+	if _, err := runID("nope", Options{}); err == nil {
 		t.Fatal("Run accepted unknown id")
 	}
+}
+
+// runID looks up the experiment id and runs it.
+func runID(id string, opts Options) (*Result, error) {
+	e, err := Lookup(id)
+	if err != nil {
+		return nil, err
+	}
+	return e.Run(opts)
 }
 
 // quickOpts keeps experiment smoke tests fast.
@@ -87,7 +96,7 @@ func checkResult(t *testing.T, id string, res *Result) {
 
 func TestRunTable3(t *testing.T) {
 	skipHeavy(t)
-	res, err := Run("table3", quickOpts())
+	res, err := runID("table3", quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +115,7 @@ func TestRunTable3(t *testing.T) {
 
 func TestRunFig5ShapesHold(t *testing.T) {
 	skipHeavy(t)
-	res, err := Run("fig5", quickOpts())
+	res, err := runID("fig5", quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +123,7 @@ func TestRunFig5ShapesHold(t *testing.T) {
 }
 
 func TestRunFig8GuessBeatsFixedExtent(t *testing.T) {
-	res, err := Run("fig8", quickOpts())
+	res, err := runID("fig8", quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +143,7 @@ func TestRunFig8GuessBeatsFixedExtent(t *testing.T) {
 
 func TestRunFig12(t *testing.T) {
 	skipHeavy(t)
-	res, err := Run("fig12", quickOpts())
+	res, err := runID("fig12", quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +155,7 @@ func TestRunFig12(t *testing.T) {
 
 func TestRunFig13(t *testing.T) {
 	skipHeavy(t)
-	res, err := Run("fig13", quickOpts())
+	res, err := runID("fig13", quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +168,7 @@ func TestRunFig13(t *testing.T) {
 
 func TestRunFig15(t *testing.T) {
 	skipHeavy(t)
-	res, err := Run("fig15", quickOpts())
+	res, err := runID("fig15", quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +177,7 @@ func TestRunFig15(t *testing.T) {
 
 func TestRunFig17PoisoningHurts(t *testing.T) {
 	skipHeavy(t)
-	res, err := Run("fig17", quickOpts())
+	res, err := runID("fig17", quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +217,7 @@ func TestProgressWriter(t *testing.T) {
 	// fig6 goes through the non-memoized runAll path, so its runs (and
 	// progress lines) can never be absorbed by another test's cached
 	// sweep.
-	if _, err := Run("fig6", opts); err != nil {
+	if _, err := runID("fig6", opts); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), "done") {
@@ -218,14 +227,14 @@ func TestProgressWriter(t *testing.T) {
 
 func TestRunFig3AndFig4ShareSweep(t *testing.T) {
 	skipHeavy(t)
-	res3, err := Run("fig3", quickOpts())
+	res3, err := runID("fig3", quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkResult(t, "fig3", res3)
 	// Figure 4 projects the identical cache sweep; after fig3 it must
 	// come from the memo and agree row for row on the sweep grid.
-	res4, err := Run("fig4", quickOpts())
+	res4, err := runID("fig4", quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +252,7 @@ func TestRunFig3AndFig4ShareSweep(t *testing.T) {
 
 func TestRunFig6(t *testing.T) {
 	skipHeavy(t)
-	res, err := Run("fig6", quickOpts())
+	res, err := runID("fig6", quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +265,7 @@ func TestRunFig6(t *testing.T) {
 
 func TestRunFig7(t *testing.T) {
 	skipHeavy(t)
-	res, err := Run("fig7", quickOpts())
+	res, err := runID("fig7", quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +289,7 @@ func TestRunFig7(t *testing.T) {
 
 func TestRunFig9(t *testing.T) {
 	skipHeavy(t)
-	res, err := Run("fig9", quickOpts())
+	res, err := runID("fig9", quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +301,7 @@ func TestRunFig9(t *testing.T) {
 
 func TestRunFig10(t *testing.T) {
 	skipHeavy(t)
-	res, err := Run("fig10", quickOpts())
+	res, err := runID("fig10", quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +313,7 @@ func TestRunFig10(t *testing.T) {
 
 func TestRunFig11(t *testing.T) {
 	skipHeavy(t)
-	res, err := Run("fig11", quickOpts())
+	res, err := runID("fig11", quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +325,7 @@ func TestRunFig11(t *testing.T) {
 
 func TestRunFig14(t *testing.T) {
 	skipHeavy(t)
-	res, err := Run("fig14", quickOpts())
+	res, err := runID("fig14", quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,7 @@ import (
 
 func TestRunExtAdaptive(t *testing.T) {
 	skipHeavy(t)
-	res, err := Run("ext-adaptive", quickOpts())
+	res, err := runID("ext-adaptive", quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestRunExtAdaptive(t *testing.T) {
 
 func TestRunExtSelfish(t *testing.T) {
 	skipHeavy(t)
-	res, err := Run("ext-selfish", quickOpts())
+	res, err := runID("ext-selfish", quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestRunExtSelfish(t *testing.T) {
 
 func TestRunExtDetection(t *testing.T) {
 	skipHeavy(t)
-	res, err := Run("ext-detection", quickOpts())
+	res, err := runID("ext-detection", quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestRunExtDetection(t *testing.T) {
 func TestRunAblations(t *testing.T) {
 	skipHeavy(t)
 	for _, id := range []string{"abl-pongsize", "abl-introprob"} {
-		res, err := Run(id, quickOpts())
+		res, err := runID(id, quickOpts())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,13 +78,13 @@ func TestRunAblations(t *testing.T) {
 
 func TestReplicationsPoolRuns(t *testing.T) {
 	skipHeavy(t)
-	single, err := Run("abl-pongsize", quickOpts())
+	single, err := runID("abl-pongsize", quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := quickOpts()
 	opts.Replications = 2
-	pooled, err := Run("abl-pongsize", opts)
+	pooled, err := runID("abl-pongsize", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestReplicationsPoolRuns(t *testing.T) {
 func TestReplicationsPoolShort(t *testing.T) {
 	opts := quickOpts()
 	opts.Replications = 2
-	res, err := Run("fig8", opts)
+	res, err := runID("fig8", opts)
 	if err != nil {
 		t.Fatal(err)
 	}

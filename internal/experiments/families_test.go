@@ -8,7 +8,7 @@ import (
 
 func TestRunCmpFamilies(t *testing.T) {
 	skipHeavy(t)
-	res, err := Run("cmp-families", quickOpts())
+	res, err := runID("cmp-families", quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestRunCmpFamilies(t *testing.T) {
 	if _, err := res.WriteTo(&first); err != nil {
 		t.Fatal(err)
 	}
-	again, err := Run("cmp-families", quickOpts())
+	again, err := runID("cmp-families", quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}

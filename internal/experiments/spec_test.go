@@ -290,9 +290,9 @@ func TestRunSpecReplicationsMerge(t *testing.T) {
 	}
 }
 
-// TestLookupAndDeprecatedShim checks the typed handle agrees with the
-// legacy Run entry.
-func TestLookupAndDeprecatedShim(t *testing.T) {
+// TestLookupHandle checks Lookup rejects unknown ids and returns a
+// complete handle whose specs validate.
+func TestLookupHandle(t *testing.T) {
 	if _, err := Lookup("nope"); err == nil {
 		t.Fatal("Lookup accepted unknown id")
 	}
@@ -311,24 +311,6 @@ func TestLookupAndDeprecatedShim(t *testing.T) {
 		if err := s.Validate(); err != nil {
 			t.Fatalf("fig8 spec invalid: %v", err)
 		}
-	}
-	viaHandle, err := e.Run(quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaShim, err := Run("fig8", quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var a, b strings.Builder
-	if _, err := viaHandle.WriteTo(&a); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := viaShim.WriteTo(&b); err != nil {
-		t.Fatal(err)
-	}
-	if a.String() != b.String() {
-		t.Fatal("deprecated Run shim disagrees with Experiment.Run")
 	}
 }
 
