@@ -70,10 +70,11 @@ race:
 	  ./internal/gossip ./internal/dht ./internal/orchestrate
 
 # Ten seconds of coverage-guided fuzzing each over the wire decoder,
-# the stream framing, the snapshot decoder, and the gossip/DHT
-# parameter spaces: cheap insurance that no datagram, frame, or
-# snapshot can panic a live node and no parameter corner breaks the
-# substrate engines' conservation invariants or determinism.
+# the stream framing, the snapshot decoder, the gossip/DHT parameter
+# spaces, and the link cache's op scripts: cheap insurance that no
+# datagram, frame, or snapshot can panic a live node, no parameter
+# corner breaks the substrate engines' conservation invariants or
+# determinism, and the link-cache index agrees with a map model.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDecode -fuzztime=10s ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzFrameDecode -fuzztime=10s ./internal/frame
@@ -81,6 +82,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzStateSyncDecode -fuzztime=10s ./node/cluster
 	$(GO) test -run='^$$' -fuzz=FuzzGossipParams -fuzztime=10s ./internal/gossip
 	$(GO) test -run='^$$' -fuzz=FuzzDHTLookup -fuzztime=10s ./internal/dht
+	$(GO) test -run='^$$' -fuzz=FuzzLinkCache -fuzztime=10s ./internal/cache
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

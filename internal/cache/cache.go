@@ -1,6 +1,8 @@
-// Package cache implements the two peer-local address stores of the
-// GUESS protocol: the bounded link cache (the peer's "neighbor list")
-// and the unbounded per-query query cache ("scratch space").
+// Package cache implements the GUESS link cache: the bounded,
+// peer-local store of pointers to other peers (the peer's "neighbor
+// list"). The per-query query cache ("scratch space") is a plain seen
+// set in its users, core and node, since its entries live in a
+// policy.Selector.
 //
 // A cache entry is the paper's pointer format
 // {IP address, TS, NumFiles, NumRes} plus a Direct flag recording
@@ -8,7 +10,11 @@
 // MR* policy, which distrusts third-party result counts).
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+	"math/bits"
+)
 
 // PeerID is a peer's address. In the simulator it doubles as the
 // unique, monotonically increasing peer identifier; addresses of dead
@@ -16,7 +22,8 @@ import "fmt"
 // peers to poison caches) come from a disjoint range.
 type PeerID int64
 
-// Entry is a pointer to another peer, the unit stored in both caches.
+// Entry is a pointer to another peer, the unit stored in the link
+// cache and handed to policy selection.
 type Entry struct {
 	// Addr is the target peer's address.
 	Addr PeerID
@@ -40,63 +47,84 @@ type Entry struct {
 // rejects duplicate addresses. The zero value is unusable; call
 // NewLinkCache.
 //
-// Small caches (capacity <= linearIndexMax, which covers the paper's
-// default CacheSize) are fully flat: lookups scan a dense parallel
-// address slice instead of a hash map. A scan of at most 128
-// contiguous 8-byte addresses costs about what one map probe does,
-// and dropping the map roughly halves the per-peer footprint — the
-// difference between a million-peer simulation fitting in memory or
-// not, since link caches dominate the simulator's heap. Large caches
-// (the paper's multi-thousand-entry sweeps) keep the map index.
+// Lookups go through one open-addressed, linearly probed table at
+// every capacity. The table is a power of two at least twice the
+// capacity, so probe runs stay short even when the cache is full (the
+// paper's usual state), and it holds 4-byte slot numbers rather than
+// addresses: at capacity 32 it costs 256 B per peer, at the paper's
+// default of 100 it costs 1 KiB. Link caches dominate the simulator's
+// heap, so that per-peer cost bounds how many peers fit in memory.
 type LinkCache struct {
 	capacity int
 	entries  []Entry
-	// addrs mirrors entries[i].Addr; it is the flat lookup index for
-	// small caches (nil when the map index is in use). Kept separate
-	// from entries so the scan touches 4x fewer cache lines.
-	addrs []PeerID
-	// index maps addresses to slots for large caches; nil for small
-	// ones.
-	index map[PeerID]int
+	// table maps an address's probe position to its entry: table[h] is
+	// slot+1 for entries[slot], or 0 when position h is empty. Removal
+	// shifts later members of a probe run back (no tombstones), so a
+	// lookup may stop at the first empty position.
+	table []int32
+	// shift turns the 64-bit Fibonacci hash of an address into a home
+	// position: 64 - log2(len(table)).
+	shift uint8
 }
 
-// linearIndexMax is the largest capacity served by the flat linear
-// index. Above it, lookup cost would grow past a map probe's.
-const linearIndexMax = 128
+// fibMul is 2^64 / φ, the Fibonacci-hashing multiplier: it spreads
+// consecutive peer IDs (the simulator's common case) across the table.
+const fibMul = 0x9E3779B97F4A7C15
 
 // NewLinkCache returns an empty link cache with the given capacity
 // (the paper's CacheSize). It panics if capacity <= 0, which is always
-// a configuration bug.
+// a configuration bug, or if slot numbers would not fit the table.
 func NewLinkCache(capacity int) *LinkCache {
-	if capacity <= 0 {
-		panic(fmt.Sprintf("cache: non-positive link cache capacity %d", capacity))
+	if capacity <= 0 || capacity > math.MaxInt32/2 {
+		panic(fmt.Sprintf("cache: link cache capacity %d outside [1, %d]", capacity, math.MaxInt32/2))
 	}
-	c := &LinkCache{
+	logSize := bits.Len(uint(2*capacity - 1)) // smallest 2^k >= 2*capacity
+	return &LinkCache{
 		capacity: capacity,
 		entries:  make([]Entry, 0, min(capacity, 256)),
+		table:    make([]int32, 1<<logSize),
+		shift:    uint8(64 - logSize),
 	}
-	if capacity <= linearIndexMax {
-		c.addrs = make([]PeerID, 0, capacity)
-	} else {
-		c.index = make(map[PeerID]int, min(capacity, 256))
+}
+
+// home returns addr's preferred table position.
+func (c *LinkCache) home(addr PeerID) int {
+	return int(uint64(addr) * fibMul >> c.shift)
+}
+
+// pos returns the table position holding addr's slot, or the empty
+// position that ends addr's probe run when addr is absent. The table
+// is never more than half full, so the probe always terminates.
+func (c *LinkCache) pos(addr PeerID) int {
+	mask := len(c.table) - 1
+	for h := c.home(addr); ; h = (h + 1) & mask {
+		if s := c.table[h]; s == 0 || c.entries[s-1].Addr == addr {
+			return h
+		}
 	}
-	return c
 }
 
 // find returns addr's slot, or -1 when absent.
 func (c *LinkCache) find(addr PeerID) int {
-	if c.index != nil {
-		if i, ok := c.index[addr]; ok {
-			return i
+	return int(c.table[c.pos(addr)]) - 1
+}
+
+// unlink empties table position h by backward-shift deletion: walking
+// the rest of the probe run, each member whose home is not cyclically
+// within (hole, its position] moves back into the hole, which then
+// moves to where it was. Every member stays reachable from its home
+// without tombstones. unlink reads entries, so it must run before the
+// slot it frees is overwritten.
+func (c *LinkCache) unlink(h int) {
+	mask := len(c.table) - 1
+	for j := (h + 1) & mask; c.table[j] != 0; j = (j + 1) & mask {
+		home := c.home(c.entries[c.table[j]-1].Addr)
+		if (j-home)&mask >= (j-h)&mask {
+			c.table[h] = c.table[j]
+			h = j
 		}
-		return -1
 	}
-	for i, a := range c.addrs {
-		if a == addr {
-			return i
-		}
-	}
-	return -1
+	c.table[h] = 0
 }
 
 // Cap returns the cache's capacity.
@@ -130,31 +158,23 @@ func (c *LinkCache) Get(addr PeerID) (Entry, bool) {
 // ReplaceAt, Clear) — the backing array may be reallocated, truncated,
 // or have entries swapped into different slots. Mutating entry fields
 // in place (e.g. TS updates) is allowed and is how Touch and SetNumRes
-// work. Use AppendEntries for a stable snapshot that survives later
-// cache mutations.
+// work. Callers that need a snapshot surviving later mutations copy
+// it.
 func (c *LinkCache) Entries() []Entry { return c.entries }
-
-// AppendEntries appends a copy of the cache's entries to dst and
-// returns the extended slice, for callers that need a snapshot
-// surviving subsequent cache mutations. Passing dst[:0] reuses dst's
-// storage.
-func (c *LinkCache) AppendEntries(dst []Entry) []Entry {
-	return append(dst, c.entries...)
-}
 
 // Add inserts e if there is room and the address is not already
 // present. It reports whether the entry was inserted. Use ReplaceAt for
 // policy-driven replacement when full.
 func (c *LinkCache) Add(e Entry) bool {
-	if c.Full() || c.Has(e.Addr) {
+	if c.Full() {
 		return false
 	}
-	if c.index != nil {
-		c.index[e.Addr] = len(c.entries)
-	} else {
-		c.addrs = append(c.addrs, e.Addr)
+	h := c.pos(e.Addr)
+	if c.table[h] != 0 {
+		return false
 	}
 	c.entries = append(c.entries, e)
+	c.table[h] = int32(len(c.entries))
 	return true
 }
 
@@ -165,15 +185,12 @@ func (c *LinkCache) ReplaceAt(i int, e Entry) {
 	if i < 0 || i >= len(c.entries) {
 		panic(fmt.Sprintf("cache: ReplaceAt(%d) with %d entries", i, len(c.entries)))
 	}
-	old := c.entries[i]
-	if j := c.find(e.Addr); j >= 0 && j != i {
-		panic(fmt.Sprintf("cache: ReplaceAt would duplicate addr %d", e.Addr))
-	}
-	if c.index != nil {
-		delete(c.index, old.Addr)
-		c.index[e.Addr] = i
-	} else {
-		c.addrs[i] = e.Addr
+	if old := c.entries[i].Addr; old != e.Addr {
+		if c.Has(e.Addr) {
+			panic(fmt.Sprintf("cache: ReplaceAt would duplicate addr %d", e.Addr))
+		}
+		c.unlink(c.pos(old))
+		c.table[c.pos(e.Addr)] = int32(i + 1)
 	}
 	c.entries[i] = e
 }
@@ -181,23 +198,19 @@ func (c *LinkCache) ReplaceAt(i int, e Entry) {
 // Remove deletes addr, reporting whether it was present. Removal is
 // O(1) via swap-with-last, so entry order is not stable.
 func (c *LinkCache) Remove(addr PeerID) bool {
-	i := c.find(addr)
+	h := c.pos(addr)
+	i := int(c.table[h]) - 1
 	if i < 0 {
 		return false
 	}
+	c.unlink(h)
 	last := len(c.entries) - 1
-	moved := c.entries[last]
-	c.entries[i] = moved
-	c.entries = c.entries[:last]
-	if c.index != nil {
-		delete(c.index, addr)
-		if i != last {
-			c.index[moved.Addr] = i
-		}
-	} else {
-		c.addrs[i] = c.addrs[last]
-		c.addrs = c.addrs[:last]
+	if i != last {
+		moved := c.entries[last]
+		c.table[c.pos(moved.Addr)] = int32(i + 1)
+		c.entries[i] = moved
 	}
+	c.entries = c.entries[:last]
 	return true
 }
 
@@ -225,26 +238,27 @@ func (c *LinkCache) SetNumRes(addr PeerID, n int32) {
 // exactly like a fresh NewLinkCache of the same capacity).
 func (c *LinkCache) Clear() {
 	c.entries = c.entries[:0]
-	c.addrs = c.addrs[:0]
-	clear(c.index)
+	clear(c.table)
 }
 
-// checkInvariants panics if the index and the entries slice disagree.
+// checkInvariants panics if the table and the entries slice disagree.
 // It is called from tests only.
 func (c *LinkCache) checkInvariants() {
 	if len(c.entries) > c.capacity {
 		panic("cache: over capacity")
 	}
-	if c.index != nil {
-		if len(c.index) != len(c.entries) {
-			panic("cache: index size mismatch")
+	used := 0
+	for _, s := range c.table {
+		if s != 0 {
+			used++
 		}
-	} else if len(c.addrs) != len(c.entries) {
-		panic("cache: addrs size mismatch")
+	}
+	if used != len(c.entries) {
+		panic(fmt.Sprintf("cache: %d table slots in use for %d entries", used, len(c.entries)))
 	}
 	for i, e := range c.entries {
 		if j := c.find(e.Addr); j != i {
-			panic("cache: index points to wrong slot")
+			panic("cache: table points to wrong slot")
 		}
 	}
 }

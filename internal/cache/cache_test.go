@@ -1,8 +1,8 @@
 package cache
 
 import (
+	"fmt"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/simrng"
 )
@@ -143,112 +143,6 @@ func TestTouchAndSetNumRes(t *testing.T) {
 	c.checkInvariants()
 }
 
-// TestLinkCacheProperty drives a random operation sequence and checks
-// the cache never exceeds capacity, never duplicates addresses, and
-// keeps its index consistent.
-func TestLinkCacheProperty(t *testing.T) {
-	f := func(ops []uint16, capRaw uint8) bool {
-		capacity := int(capRaw%16) + 1
-		c := NewLinkCache(capacity)
-		r := simrng.New(42)
-		for _, op := range ops {
-			addr := PeerID(op % 23)
-			switch op % 4 {
-			case 0, 1:
-				c.Add(Entry{Addr: addr, TS: float64(op)})
-			case 2:
-				c.Remove(addr)
-			case 3:
-				if c.Len() > 0 {
-					i := r.Intn(c.Len())
-					// Replace only when it would not duplicate.
-					if j := c.find(addr); j < 0 || j == i {
-						c.ReplaceAt(i, Entry{Addr: addr})
-					}
-				}
-			}
-			c.checkInvariants()
-			if c.Len() > capacity {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestQueryCacheDedup(t *testing.T) {
-	q := NewQueryCache()
-	if !q.Add(Entry{Addr: 1}) {
-		t.Fatal("first Add failed")
-	}
-	if q.Add(Entry{Addr: 1}) {
-		t.Fatal("duplicate Add succeeded")
-	}
-	if !q.Seen(1) || q.Seen(2) {
-		t.Fatal("Seen wrong")
-	}
-	if q.Len() != 1 {
-		t.Fatalf("Len = %d", q.Len())
-	}
-}
-
-func TestQueryCacheConsume(t *testing.T) {
-	q := NewQueryCache()
-	q.Add(Entry{Addr: 1})
-	q.Add(Entry{Addr: 2})
-	q.Add(Entry{Addr: 3})
-	q.Consume(2)
-	if got := q.PendingCount(); got != 2 {
-		t.Fatalf("PendingCount = %d, want 2", got)
-	}
-	pending := q.Pending()
-	for _, e := range pending {
-		if e.Addr == 2 {
-			t.Fatal("consumed entry still pending")
-		}
-	}
-	// Consumed addresses remain seen, so they can never be re-added.
-	if q.Add(Entry{Addr: 2}) {
-		t.Fatal("consumed address re-added")
-	}
-	// Consuming an unknown address is a no-op.
-	q.Consume(99)
-	if q.PendingCount() != 2 {
-		t.Fatal("Consume(unknown) changed state")
-	}
-}
-
-func TestAppendEntriesSnapshot(t *testing.T) {
-	c := NewLinkCache(4)
-	for i := 1; i <= 4; i++ {
-		c.Add(Entry{Addr: PeerID(i), NumFiles: int32(i)})
-	}
-	snap := c.AppendEntries(nil)
-	if len(snap) != 4 {
-		t.Fatalf("snapshot len %d, want 4", len(snap))
-	}
-	// Unlike Entries(), the snapshot must survive cache mutations.
-	alias := c.Entries()
-	c.Remove(1)
-	c.ReplaceAt(0, Entry{Addr: 9, NumFiles: 99})
-	for i, e := range snap {
-		if e.Addr != PeerID(i+1) || e.NumFiles != int32(i+1) {
-			t.Fatalf("snapshot[%d] mutated: %+v", i, e)
-		}
-	}
-	if alias[0].Addr != 9 {
-		t.Fatalf("Entries() result should alias internal storage, got %+v", alias[0])
-	}
-	// Reusing dst storage appends in place.
-	snap = c.AppendEntries(snap[:0])
-	if len(snap) != 3 {
-		t.Fatalf("reused snapshot len %d, want 3", len(snap))
-	}
-}
-
 func TestClearRetainsCapacityAndEmpties(t *testing.T) {
 	c := NewLinkCache(3)
 	for i := 1; i <= 3; i++ {
@@ -274,74 +168,272 @@ func TestClearRetainsCapacityAndEmpties(t *testing.T) {
 	c.checkInvariants()
 }
 
-// TestLinkCacheIndexRegimesAgree drives a flat-indexed cache (capacity
-// = linearIndexMax) and a map-indexed one (capacity = linearIndexMax+1)
-// through an identical randomized script. The address space is kept
-// small enough that neither cache ever fills, so capacity cannot
-// influence behavior and every observable — membership, entry fields,
-// lengths — must agree between the two index implementations.
-func TestLinkCacheIndexRegimesAgree(t *testing.T) {
-	flat := NewLinkCache(linearIndexMax)
-	mapped := NewLinkCache(linearIndexMax + 1)
-	if flat.index != nil || flat.addrs == nil {
-		t.Fatal("capacity <= linearIndexMax did not select the flat index")
+// model is the reference a LinkCache is checked against: a map from
+// address to entry for membership and contents, plus the slot order
+// that append-on-Add and swap-with-last Remove must produce. Policies
+// choose by slot, so the order feeds the simulator's RNG draw sequence
+// and must not depend on the index.
+type model struct {
+	capacity int
+	m        map[PeerID]Entry
+	order    []PeerID
+}
+
+func newModel(capacity int) *model {
+	return &model{capacity: capacity, m: make(map[PeerID]Entry)}
+}
+
+func (m *model) add(e Entry) bool {
+	if _, ok := m.m[e.Addr]; ok || len(m.order) >= m.capacity {
+		return false
 	}
-	if mapped.index == nil || mapped.addrs != nil {
-		t.Fatal("capacity > linearIndexMax did not select the map index")
+	m.m[e.Addr] = e
+	m.order = append(m.order, e.Addr)
+	return true
+}
+
+func (m *model) remove(addr PeerID) bool {
+	if _, ok := m.m[addr]; !ok {
+		return false
 	}
-	r := simrng.New(7)
-	const addrSpace = 48 // << both capacities: neither cache ever fills
-	for step := 0; step < 20000; step++ {
-		addr := PeerID(r.Intn(addrSpace))
-		switch r.Intn(5) {
-		case 0:
-			a := flat.Add(Entry{Addr: addr, TS: float64(step)})
-			b := mapped.Add(Entry{Addr: addr, TS: float64(step)})
-			if a != b {
-				t.Fatalf("step %d: Add(%d) flat=%v map=%v", step, addr, a, b)
-			}
-		case 1:
-			a := flat.Remove(addr)
-			b := mapped.Remove(addr)
-			if a != b {
-				t.Fatalf("step %d: Remove(%d) flat=%v map=%v", step, addr, a, b)
+	delete(m.m, addr)
+	for i, a := range m.order {
+		if a == addr {
+			last := len(m.order) - 1
+			m.order[i] = m.order[last]
+			m.order = m.order[:last]
+			break
+		}
+	}
+	return true
+}
+
+// collidingAddrs returns n addresses, the smallest at or above base,
+// whose home position in a capacity-sized cache's table is one of the
+// last two. Filled in, they form one probe run that wraps past the end
+// of the table.
+func collidingAddrs(capacity, n int, base PeerID) []PeerID {
+	c := NewLinkCache(capacity)
+	out := make([]PeerID, 0, n)
+	for a := base; len(out) < n; a++ {
+		if c.home(a) >= len(c.table)-2 {
+			out = append(out, a)
+		}
+	}
+	return out
+}
+
+// mixedPool returns the address pool for a capacity-sized cache:
+// dense small IDs, wide ones from the fabricated-address range (at or
+// above 1<<40), and wide ones that collide at the end of the table.
+// It holds more addresses than the cache, so scripts fill it.
+func mixedPool(capacity int) []PeerID {
+	n := capacity/2 + 16
+	pool := collidingAddrs(capacity, min(n, 32), 1<<40+1<<20)
+	for i := 0; i < n; i++ {
+		pool = append(pool, PeerID(i), 1<<40+PeerID(i))
+	}
+	return pool
+}
+
+// runScript decodes an op script and applies each op to a fresh
+// capacity-sized LinkCache and to the model, failing at the first
+// disagreement in a return value, a lookup, or the slot-ordered
+// contents. An op is one byte (its low three bits pick the kind), then
+// two bytes indexing pool for the address; ReplaceAt reads one more
+// byte for the slot. A short script reads zeros past its end. It
+// returns the most entries the cache held.
+func runScript(t *testing.T, capacity int, pool []PeerID, script []byte) (peak int) {
+	t.Helper()
+	c := NewLinkCache(capacity)
+	m := newModel(capacity)
+	k := 0
+	next := func() byte {
+		if k >= len(script) {
+			return 0
+		}
+		k++
+		return script[k-1]
+	}
+	for k < len(script) {
+		op := next()
+		addr := pool[(int(next())<<8|int(next()))%len(pool)]
+		ts := float64(k)
+		var desc string
+		switch op % 8 {
+		case 0, 1:
+			e := Entry{Addr: addr, TS: ts, NumFiles: int32(op), NumRes: int32(k % 5)}
+			desc = fmt.Sprintf("Add(%d)", addr)
+			if got, want := c.Add(e), m.add(e); got != want {
+				t.Fatalf("op %d: %s = %v, model %v", k, desc, got, want)
 			}
 		case 2:
-			flat.Touch(addr, float64(step))
-			mapped.Touch(addr, float64(step))
+			desc = fmt.Sprintf("Remove(%d)", addr)
+			if got, want := c.Remove(addr), m.remove(addr); got != want {
+				t.Fatalf("op %d: %s = %v, model %v", k, desc, got, want)
+			}
 		case 3:
-			flat.SetNumRes(addr, int32(step%7))
-			mapped.SetNumRes(addr, int32(step%7))
+			desc = fmt.Sprintf("Touch(%d)", addr)
+			c.Touch(addr, ts)
+			if e, ok := m.m[addr]; ok {
+				e.TS = ts
+				m.m[addr] = e
+			}
 		case 4:
-			if flat.Len() > 0 {
-				// ReplaceAt targets the slot holding a common address so
-				// both caches mutate the same logical entry; skip when the
-				// replacement would duplicate.
-				victim := flat.entries[r.Intn(flat.Len())].Addr
-				if flat.Has(addr) && addr != victim {
-					continue
+			desc = fmt.Sprintf("SetNumRes(%d)", addr)
+			c.SetNumRes(addr, int32(op))
+			if e, ok := m.m[addr]; ok {
+				e.NumRes, e.Direct = int32(op), true
+				m.m[addr] = e
+			}
+		case 5:
+			slot := int(next())
+			if len(m.order) == 0 {
+				continue
+			}
+			i := slot % len(m.order)
+			victim := m.order[i]
+			e := Entry{Addr: addr, TS: ts, NumFiles: int32(slot)}
+			desc = fmt.Sprintf("ReplaceAt(%d, %d) over %d", i, addr, victim)
+			if _, dup := m.m[addr]; dup && addr != victim {
+				if !panics(func() { c.ReplaceAt(i, e) }) {
+					t.Fatalf("op %d: %s duplicated an address without panicking", k, desc)
 				}
-				flat.ReplaceAt(flat.find(victim), Entry{Addr: addr, TS: float64(step)})
-				mapped.ReplaceAt(mapped.find(victim), Entry{Addr: addr, TS: float64(step)})
+				break
 			}
-		}
-		flat.checkInvariants()
-		mapped.checkInvariants()
-		if flat.Len() != mapped.Len() {
-			t.Fatalf("step %d: Len flat=%d map=%d", step, flat.Len(), mapped.Len())
-		}
-		for _, e := range flat.entries {
-			g, ok := mapped.Get(e.Addr)
-			if !ok || g != e {
-				t.Fatalf("step %d: entry %d flat=%+v map=%+v (ok=%v)", step, e.Addr, e, g, ok)
+			c.ReplaceAt(i, e)
+			delete(m.m, victim)
+			m.m[addr] = e
+			m.order[i] = addr
+		case 6:
+			desc = fmt.Sprintf("Get(%d)", addr)
+			got, ok := c.Get(addr)
+			want, wantOK := m.m[addr]
+			if got != want || ok != wantOK || c.Has(addr) != wantOK {
+				t.Fatalf("op %d: %s = %+v, %v; model %+v, %v", k, desc, got, ok, want, wantOK)
 			}
+		case 7:
+			desc = "Clear"
+			if op < 0xF8 {
+				continue // Clear is rare: scripts mostly build state
+			}
+			c.Clear()
+			m = newModel(capacity)
+		}
+		verifyAgainstModel(t, c, m, fmt.Sprintf("op %d (%s)", k, desc))
+		peak = max(peak, c.Len())
+	}
+	return peak
+}
+
+// verifyAgainstModel checks c's invariants (which include finding
+// every entry at its slot), length and slot-ordered contents against m.
+func verifyAgainstModel(t *testing.T, c *LinkCache, m *model, where string) {
+	t.Helper()
+	c.checkInvariants()
+	if c.Len() != len(m.order) || c.Full() != (len(m.order) == m.capacity) {
+		t.Fatalf("%s: Len=%d Full=%v, model holds %d of %d", where, c.Len(), c.Full(), len(m.order), m.capacity)
+	}
+	for i, e := range c.Entries() {
+		if e.Addr != m.order[i] || e != m.m[e.Addr] {
+			t.Fatalf("%s: slot %d = %+v, model %d -> %+v", where, i, e, m.order[i], m.m[m.order[i]])
 		}
 	}
-	flat.Clear()
-	mapped.Clear()
-	if flat.Len() != 0 || mapped.Len() != 0 || flat.Has(1) || mapped.Has(1) {
-		t.Fatal("Clear left residue")
+}
+
+func panics(f func()) (p bool) {
+	defer func() { p = recover() != nil }()
+	f()
+	return false
+}
+
+// randomScript returns n random op-script bytes.
+func randomScript(r *simrng.RNG, n int) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = byte(r.Intn(256))
 	}
-	flat.checkInvariants()
-	mapped.checkInvariants()
+	return b
+}
+
+// phasedScript returns an op script for a capacity-sized cache over a
+// poolLen-address pool. It cycles twice through filling (mostly adds
+// of consecutive pool addresses, enough to fill the cache), mixed ops,
+// and draining (mostly removes) ended by a Clear, so every capacity is
+// driven from empty to full and back.
+func phasedScript(r *simrng.RNG, poolLen, capacity int) []byte {
+	var b []byte
+	seq := 0
+	for phase := 0; phase < 6; phase++ {
+		for i := 0; i < 2*capacity+32; i++ {
+			kind, idx := r.Intn(7), r.Intn(poolLen)
+			switch {
+			case phase%3 == 0 && r.Bool(0.8):
+				kind, idx = 0, seq%poolLen
+				seq++
+			case phase%3 == 2 && r.Bool(0.6):
+				kind = 2
+			}
+			// Upper bits vary the entry fields but stay below Clear's
+			// 0xF8 threshold.
+			b = append(b, byte(kind+8*r.Intn(31)), byte(idx>>8), byte(idx))
+			if kind == 5 {
+				b = append(b, byte(r.Intn(256)))
+			}
+		}
+		if phase%3 == 2 {
+			b = append(b, 0xFF, 0, 0)
+		}
+	}
+	return b
+}
+
+// TestLinkCacheMatchesModel drives the cache at every capacity the
+// repository uses, and at both sides of powers of two, from empty to
+// full and back, checked op by op against the model. The colliding leg
+// draws every address from ones whose home is one of the table's last
+// two positions, so probe runs wrap around the end of the table and
+// backward-shift deletion has to move entries across the wrap.
+func TestLinkCacheMatchesModel(t *testing.T) {
+	for _, capacity := range []int{1, 2, 32, 100, 128, 129, 500} {
+		legs := []struct {
+			name string
+			pool []PeerID
+		}{
+			{"mixed", mixedPool(capacity)},
+			{"colliding", collidingAddrs(capacity, capacity+8, 1<<40)},
+		}
+		for _, leg := range legs {
+			t.Run(fmt.Sprintf("cap=%d/%s", capacity, leg.name), func(t *testing.T) {
+				script := phasedScript(simrng.New(uint64(capacity)), len(leg.pool), capacity)
+				if peak := runScript(t, capacity, leg.pool, script); peak != capacity {
+					t.Fatalf("script peaked at %d entries, never filling the cache", peak)
+				}
+			})
+		}
+	}
+}
+
+// FuzzLinkCache checks the cache against the model for fuzzed
+// capacities (1 to 600) and op scripts; raw adds one arbitrary 64-bit
+// address to the pool. The seeds include small caches over a 23-address
+// space, mostly adds, removes and replacements.
+func FuzzLinkCache(f *testing.F) {
+	r := simrng.New(42)
+	for capRaw := uint16(0); capRaw < 16; capRaw++ {
+		script := make([]byte, 0, 4*64)
+		for i := 0; i < 64; i++ {
+			op := [4]byte{0, 1, 2, 5}[r.Intn(4)]
+			script = append(script, op, 0, byte(r.Intn(23)), byte(r.Intn(256)))
+		}
+		f.Add(capRaw, int64(0), script)
+	}
+	f.Add(uint16(31), int64(1)<<40, randomScript(r, 600))
+	f.Add(uint16(99), int64(-1), randomScript(r, 1200))
+	f.Add(uint16(499), int64(1)<<62, randomScript(r, 3000))
+	f.Add(uint16(599), int64(1)<<40+7, randomScript(r, 3000))
+	f.Fuzz(func(t *testing.T, capRaw uint16, raw int64, script []byte) {
+		capacity := int(capRaw)%600 + 1
+		runScript(t, capacity, append(mixedPool(capacity), PeerID(raw)), script)
+	})
 }

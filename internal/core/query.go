@@ -42,13 +42,12 @@ type query struct {
 
 	sel *policy.Selector
 	// seen is the query cache's dedup set: every address ever added as
-	// a candidate. (The full cache.QueryCache bookkeeping is not needed
-	// here — the selector holds the pending entries — and exhaustive
-	// queries make per-candidate memory the simulator's footprint
-	// ceiling.) It is generation-stamped rather than cleared: an
-	// address is "seen" iff its stored stamp equals seenGen, so reuse
-	// across pooled queries costs one increment instead of a map clear
-	// or a fresh allocation.
+	// a candidate. The selector holds the pending entries themselves;
+	// exhaustive queries make per-candidate memory the simulator's
+	// footprint ceiling, so nothing else is kept. It is
+	// generation-stamped rather than cleared: an address is "seen" iff
+	// its stored stamp equals seenGen, so reuse across pooled queries
+	// costs one increment instead of a map clear or a fresh allocation.
 	seen    map[cache.PeerID]uint64
 	seenGen uint64
 }

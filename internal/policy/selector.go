@@ -59,7 +59,7 @@ func (s *Selector) Len() int {
 }
 
 // Add inserts a candidate. The caller is responsible for deduplication
-// (see cache.QueryCache).
+// (the query's seen set in core and node).
 func (s *Selector) Add(e cache.Entry) {
 	if s.sel == SelRandom {
 		s.pool = append(s.pool, e)

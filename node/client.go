@@ -274,14 +274,13 @@ func (n *Node) Query(ctx context.Context, keyword string, desired int) ([]Hit, Q
 	// Snapshot the link cache into the candidate set.
 	n.mu.Lock()
 	sel := policy.NewSelector(n.cfg.QueryProbe, n.rng)
-	qc := cache.NewQueryCache()
-	selfID := n.idFor(n.Addr())
-	qc.Add(cache.Entry{Addr: selfID})
-	qc.Consume(selfID)
+	// seen is the query cache's dedup set: every address ever offered
+	// as a candidate, starting with our own. The selector holds the
+	// pending candidates themselves.
+	seen := make(map[cache.PeerID]struct{}, n.link.Len()+1)
+	seen[n.idFor(n.Addr())] = struct{}{}
 	for _, e := range n.link.Entries() {
-		if qc.Add(e) {
-			sel.Add(e)
-		}
+		addCandidate(seen, sel, e)
 	}
 	n.mu.Unlock()
 
@@ -299,12 +298,10 @@ func (n *Node) Query(ctx context.Context, keyword string, desired int) ([]Hit, Q
 		// Busy-demoted peers sit out the query instead of wasting a
 		// probe on another refusal.
 		for ok && n.suppressedLocked(entry.Addr) {
-			qc.Consume(entry.Addr)
 			entry, ok = sel.Next()
 		}
 		var target netip.AddrPort
 		if ok {
-			qc.Consume(entry.Addr)
 			target = n.addrs[entry.Addr]
 		}
 		n.mu.Unlock()
@@ -314,7 +311,7 @@ func (n *Node) Query(ctx context.Context, keyword string, desired int) ([]Hit, Q
 		if !target.IsValid() {
 			continue
 		}
-		newHits := n.probe(ctx, target, entry.Addr, keyword, desired-len(hits), &stats, sel, qc)
+		newHits := n.probe(ctx, target, entry.Addr, keyword, desired-len(hits), &stats, sel, seen)
 		hits = append(hits, newHits...)
 	}
 	return hits, stats, nil
@@ -323,7 +320,7 @@ func (n *Node) Query(ctx context.Context, keyword string, desired int) ([]Hit, Q
 // probe runs one query probe (with retries) and processes the reply.
 func (n *Node) probe(ctx context.Context, target netip.AddrPort, id cache.PeerID,
 	keyword string, want int, stats *QueryStats,
-	sel *policy.Selector, qc *cache.QueryCache) []Hit {
+	sel *policy.Selector, seen map[cache.PeerID]struct{}) []Hit {
 
 	stats.Probes++
 	q := &wire.Query{
@@ -370,9 +367,7 @@ func (n *Node) probe(ctx context.Context, target netip.AddrPort, id cache.PeerID
 				NumRes:   int32(pe.NumRes),
 				Direct:   false,
 			}
-			if qc.Add(entry) {
-				sel.Add(entry)
-			}
+			addCandidate(seen, sel, entry)
 			policy.Insert(n.rng, n.cfg.CacheReplacement, n.link, entry)
 		}
 		n.health.pruneTo(n.link)
@@ -386,6 +381,15 @@ func (n *Node) probe(ctx context.Context, target netip.AddrPort, id cache.PeerID
 		return hits
 	default:
 		return nil
+	}
+}
+
+// addCandidate offers e to the query's selector unless its address was
+// already seen during this query.
+func addCandidate(seen map[cache.PeerID]struct{}, sel *policy.Selector, e cache.Entry) {
+	if _, dup := seen[e.Addr]; !dup {
+		seen[e.Addr] = struct{}{}
+		sel.Add(e)
 	}
 }
 
