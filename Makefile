@@ -8,7 +8,8 @@ all: build vet lint test fuzz-smoke bench-smoke obs-smoke sweep-smoke cluster-sm
 
 # The packages with hot-path microbenchmarks (b.ReportAllocs); see also
 # the top-level BenchmarkSingleRun in bench_test.go.
-BENCH_PKGS = ./internal/eventq ./internal/cache ./internal/policy ./internal/core
+BENCH_PKGS = ./internal/eventq ./internal/cache ./internal/policy ./internal/core \
+	./internal/dist ./internal/content
 
 build:
 	$(GO) build ./...
@@ -71,10 +72,11 @@ race:
 
 # Ten seconds of coverage-guided fuzzing each over the wire decoder,
 # the stream framing, the snapshot decoder, the gossip/DHT parameter
-# spaces, and the link cache's op scripts: cheap insurance that no
-# datagram, frame, or snapshot can panic a live node, no parameter
-# corner breaks the substrate engines' conservation invariants or
-# determinism, and the link-cache index agrees with a map model.
+# spaces, the link cache's op scripts, and the Zipf guide table: cheap
+# insurance that no datagram, frame, or snapshot can panic a live node,
+# no parameter corner breaks the substrate engines' conservation
+# invariants or determinism, the link-cache index agrees with a map
+# model, and Zipf ranks agree with a binary search over the CDF.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDecode -fuzztime=10s ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzFrameDecode -fuzztime=10s ./internal/frame
@@ -83,6 +85,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzGossipParams -fuzztime=10s ./internal/gossip
 	$(GO) test -run='^$$' -fuzz=FuzzDHTLookup -fuzztime=10s ./internal/dht
 	$(GO) test -run='^$$' -fuzz=FuzzLinkCache -fuzztime=10s ./internal/cache
+	$(GO) test -run='^$$' -fuzz=FuzzZipfRank -fuzztime=10s ./internal/dist
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -111,7 +114,7 @@ bench-json:
 # grows past 110% of the baseline for either the default-config run or
 # the 100k-peer scaling run. Override with
 # `make bench-check BENCH_BASELINE=BENCH_<date>.json`.
-BENCH_BASELINE ?= BENCH_20261017.json
+BENCH_BASELINE ?= BENCH_20261018.json
 bench-check:
 	$(GO) build -o /tmp/benchjson ./cmd/benchjson
 	{ $(GO) test -run '^$$' -bench 'BenchmarkSingleRun$$' -benchmem -benchtime 3x . && \

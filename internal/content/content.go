@@ -21,11 +21,18 @@
 //
 // The probability that a peer answers a query thus depends on the
 // number of files it shares, exactly as in the paper's model.
+//
+// A Library is an ascending slice of item ids, so Contains is a binary
+// search. A Universe builds libraries through a bitset scratch it owns:
+// NewLibrary and NewLibraryInto are not safe for concurrent use, while
+// every other Universe method is read-only.
 package content
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 
 	"repro/internal/dist"
 	"repro/internal/simrng"
@@ -97,14 +104,18 @@ func (p Params) Validate() error {
 	return nil
 }
 
-// Universe is an immutable content universe shared by all peers in a
-// simulation. It is safe for concurrent reads once constructed.
+// Universe is the content universe shared by all peers in a
+// simulation. Its model is fixed once constructed, but library sampling
+// dedups items in a scratch bitset the Universe owns, so NewLibrary and
+// NewLibraryInto must not run concurrently with each other. Every other
+// method is read-only and safe for concurrent use.
 type Universe struct {
 	params   Params
 	itemPop  *dist.Zipf // replication popularity
 	queryPop *dist.Zipf // query popularity
 	libSize  dist.Sampler
 	maxLib   int
+	seen     []uint64 // NumItems-bit library-sampling scratch, zero between calls
 }
 
 // New builds a Universe from params.
@@ -133,6 +144,7 @@ func New(params Params) (*Universe, error) {
 		queryPop: queryPop,
 		libSize:  dist.LogNormal{Mu: params.LibraryMu, Sigma: params.LibrarySigma},
 		maxLib:   maxLib,
+		seen:     make([]uint64, (params.NumItems+63)/64),
 	}, nil
 }
 
@@ -180,12 +192,11 @@ func (u *Universe) NewLibrary(r *simrng.RNG, size int) Library {
 }
 
 // NewLibraryInto is NewLibrary reusing recycle's storage: the recycled
-// library's item set is emptied and refilled in place, so simulators
-// under churn can recycle dead peers' libraries instead of allocating
-// one per birth. It draws from r exactly as NewLibrary does — the
-// sampling loop depends only on the (emptied) set's contents — so
-// recycling never perturbs a seeded run. recycle must not be in use by
-// any live peer; pass Library{} to allocate fresh.
+// library's slice is overwritten in place, so simulators under churn
+// can recycle dead peers' libraries instead of allocating one per
+// birth. The draws from r do not depend on recycle, so recycling never
+// perturbs a seeded run. recycle must not be in use by any live peer;
+// pass Library{} to allocate fresh.
 func (u *Universe) NewLibraryInto(r *simrng.RNG, size int, recycle Library) Library {
 	if size <= 0 {
 		return Library{}
@@ -193,25 +204,42 @@ func (u *Universe) NewLibraryInto(r *simrng.RNG, size int, recycle Library) Libr
 	if size > u.maxLib {
 		size = u.maxLib
 	}
-	items := recycle.items
-	if items == nil {
-		items = make(map[ItemID]struct{}, size)
-	} else {
-		clear(items)
-	}
 	// Popularity-weighted rejection sampling; popular items collide
 	// often for large libraries, so bound the attempts and top up with
 	// uniform unseen items (these late additions are tail items, which
 	// keeps the popularity weighting essentially intact).
+	n := 0
 	budget := 10 * size
-	for len(items) < size && budget > 0 {
+	for n < size && budget > 0 {
 		budget--
-		items[ItemID(u.itemPop.Rank(r))] = struct{}{}
+		n += u.mark(ItemID(u.itemPop.Rank(r)))
 	}
-	for len(items) < size {
-		items[ItemID(r.Intn(u.params.NumItems))] = struct{}{}
+	for n < size {
+		n += u.mark(ItemID(r.Intn(u.params.NumItems)))
+	}
+	// Emit the marked items in ascending order, zeroing the scratch.
+	items := slices.Grow(recycle.items[:0], size)
+	for w, word := range u.seen {
+		if word == 0 {
+			continue
+		}
+		u.seen[w] = 0
+		for ; word != 0; word &= word - 1 {
+			items = append(items, ItemID(w<<6|bits.TrailingZeros64(word)))
+		}
 	}
 	return Library{items: items}
+}
+
+// mark sets id's bit in the sampling scratch and returns 1 if it was
+// newly set, 0 if id was already drawn.
+func (u *Universe) mark(id ItemID) int {
+	w, bit := id>>6, uint64(1)<<(id&63)
+	if u.seen[w]&bit != 0 {
+		return 0
+	}
+	u.seen[w] |= bit
+	return 1
 }
 
 // DrawQuery samples the target item of a query: NoItem with probability
@@ -228,10 +256,10 @@ func (u *Universe) ItemProb(id ItemID) float64 {
 	return u.itemPop.Prob(int(id))
 }
 
-// Library is the set of items a peer shares. The zero value is an
-// empty library (a free rider).
+// Library is the set of items a peer shares, held as a strictly
+// ascending slice. The zero value is an empty library (a free rider).
 type Library struct {
-	items map[ItemID]struct{}
+	items []ItemID
 }
 
 // Size returns the number of files shared — the peer's NumFiles.
@@ -240,10 +268,7 @@ func (l Library) Size() int { return len(l.items) }
 // Contains reports whether the library holds item id. It is always
 // false for NoItem.
 func (l Library) Contains(id ItemID) bool {
-	if id == NoItem || l.items == nil {
-		return false
-	}
-	_, ok := l.items[id]
+	_, ok := slices.BinarySearch(l.items, id)
 	return ok
 }
 
@@ -257,12 +282,5 @@ func (l Library) Results(id ItemID) int {
 	return 0
 }
 
-// Items returns the library's items in unspecified order; for tests.
-func (l Library) Items() []ItemID {
-	out := make([]ItemID, 0, len(l.items))
-	//lint:maporder-ok order is documented as unspecified; test-only helper off the simulation path
-	for id := range l.items {
-		out = append(out, id)
-	}
-	return out
-}
+// Items returns a copy of the library's items in ascending order.
+func (l Library) Items() []ItemID { return slices.Clone(l.items) }

@@ -2,6 +2,7 @@ package content
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/simrng"
@@ -211,6 +212,95 @@ func TestUnsatisfiableFloor(t *testing.T) {
 	}
 }
 
+// newLibraryMapRef is the map-based library sampler the sorted-slice
+// Library replaced, kept as the reference for its item set and its
+// draws from r.
+func newLibraryMapRef(u *Universe, r *simrng.RNG, size int) map[ItemID]struct{} {
+	items := make(map[ItemID]struct{})
+	if size <= 0 {
+		return items
+	}
+	if size > u.maxLib {
+		size = u.maxLib
+	}
+	budget := 10 * size
+	for len(items) < size && budget > 0 {
+		budget--
+		items[ItemID(u.itemPop.Rank(r))] = struct{}{}
+	}
+	for len(items) < size {
+		items[ItemID(r.Intn(u.params.NumItems))] = struct{}{}
+	}
+	return items
+}
+
+// TestLibraryMatchesMapReference checks NewLibraryInto, fresh and
+// recycled, against the map reference: the same item set, the RNG left
+// at the same position, ascending Items, and Contains/Results agreeing
+// with the set on every item id and NoItem.
+func TestLibraryMatchesMapReference(t *testing.T) {
+	exhaust := DefaultParams()
+	exhaust.NumItems = 50
+	exhaust.PopularityExp = 3 // 400 draws cannot find 40 distinct items
+	exhaust.MaxLibrary = 50
+	def := DefaultParams()
+	maxLib := MustNew(def).MaxLibrary()
+	tests := []struct {
+		name    string
+		params  Params
+		size    int
+		recycle int // size of the recycled library; -1 for Library{}
+	}{
+		{"size0", def, 0, -1},
+		{"size0 recycled", def, 0, 150},
+		{"size1", def, 1, -1},
+		{"size150", def, 150, -1},
+		{"max", def, maxLib, -1},
+		{"above max", def, maxLib + 7, -1},
+		{"budget exhausted", exhaust, 40, -1},
+		{"budget exhausted recycled", exhaust, 40, 10},
+		{"recycled larger", def, 150, maxLib},
+		{"recycled smaller", def, 150, 1},
+		{"recycled max", def, maxLib, 150},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			u := MustNew(tt.params)
+			var recycle Library
+			if tt.recycle >= 0 {
+				recycle = u.NewLibrary(simrng.New(99), tt.recycle)
+			}
+			for seed := uint64(1); seed <= 20; seed++ {
+				rGot, rWant := simrng.New(seed), simrng.New(seed)
+				lib := u.NewLibraryInto(rGot, tt.size, recycle)
+				want := newLibraryMapRef(u, rWant, tt.size)
+				if got, want := rGot.Uint64(), rWant.Uint64(); got != want {
+					t.Fatalf("seed %d: RNG position differs from the reference", seed)
+				}
+				if lib.Size() != len(want) {
+					t.Fatalf("seed %d: Size %d, reference %d", seed, lib.Size(), len(want))
+				}
+				items := lib.Items()
+				if !slices.IsSorted(items) || len(slices.Compact(slices.Clone(items))) != len(items) {
+					t.Fatalf("seed %d: Items not strictly ascending: %v", seed, items)
+				}
+				for id := NoItem; int(id) < u.NumItems(); id++ {
+					_, in := want[id]
+					if lib.Contains(id) != in {
+						t.Fatalf("seed %d: Contains(%d) = %v, reference %v", seed, id, !in, in)
+					}
+					if res := lib.Results(id); (res == 1) != in || res > 1 {
+						t.Fatalf("seed %d: Results(%d) = %d, reference holds it: %v", seed, id, res, in)
+					}
+				}
+				if lib.Size() > 0 {
+					recycle = lib // the next seed rebuilds over this one
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkNewLibrary(b *testing.B) {
 	u := MustNew(DefaultParams())
 	r := simrng.New(1)
@@ -226,5 +316,35 @@ func BenchmarkDrawQuery(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = u.DrawQuery(r)
+	}
+}
+
+func BenchmarkNewLibraryInto(b *testing.B) {
+	u := MustNew(DefaultParams())
+	r := simrng.New(1)
+	lib := u.NewLibrary(r, 150)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lib = u.NewLibraryInto(r, 150, lib)
+	}
+}
+
+// containsSink keeps BenchmarkLibraryContains's calls from being
+// optimized away.
+var containsSink bool
+
+func BenchmarkLibraryContains(b *testing.B) {
+	u := MustNew(DefaultParams())
+	r := simrng.New(1)
+	lib := u.NewLibrary(r, 250)
+	queries := make([]ItemID, 1024)
+	for i := range queries {
+		queries[i] = u.DrawQuery(r)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		containsSink = lib.Contains(queries[i%len(queries)])
 	}
 }

@@ -413,14 +413,13 @@ func (e *Engine) spawnPeer(malicious, selfish bool) int {
 	id := e.nextID
 	e.nextID++
 	libSize := e.universe.SampleLibrarySize(e.rngContent)
-	var lib content.Library
+	var recycle content.Library
 	if n := len(e.freeLibs); libSize > 0 && n > 0 {
-		lib = e.universe.NewLibraryInto(e.rngContent, libSize, e.freeLibs[n-1])
+		recycle = e.freeLibs[n-1]
 		e.freeLibs[n-1] = content.Library{}
 		e.freeLibs = e.freeLibs[:n-1]
-	} else {
-		lib = e.universe.NewLibrary(e.rngContent, libSize)
 	}
+	lib := e.universe.NewLibraryInto(e.rngContent, libSize, recycle)
 	var link cache.LinkCache
 	if n := len(e.freeCaches); n > 0 {
 		link = e.freeCaches[n-1]

@@ -22,7 +22,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/content"
 	"repro/internal/eventq"
@@ -314,11 +313,7 @@ func (e *Engine) publish(rngContent *simrng.RNG) {
 			continue
 		}
 		lib := e.universe.NewLibrary(rngContent, e.universe.SampleLibrarySize(rngContent))
-		items := lib.Items()
-		// Items() order is unspecified; sort so publication (and the
-		// cache-seeding RNG draws) are deterministic.
-		sort.Slice(items, func(i, j int) bool { return items[i] < items[j] })
-		for _, it := range items {
+		for _, it := range lib.Items() {
 			providers[it]++
 		}
 	}
